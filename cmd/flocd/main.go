@@ -404,17 +404,7 @@ func replayCapture(r io.Reader, e *dataplane.Engine, reg *telemetry.Registry) (n
 		if err != nil {
 			return n, cr.Malformed(), end, err
 		}
-		res := in.ResolveFull(&h)
-		if !res.Bound {
-			// First packet of this path: intern it with its shard router
-			// so every later packet carries the dense handle and the
-			// admission path never hashes the path key.
-			res.Handle = e.InternPath(res.ID)
-			in.BindHandle(&h, res.Handle)
-		}
-		pkt := &netsim.Packet{}
-		h.ToPacket(pkt, uint64(n+1), res.ID, res.Key, res.Handle)
-		e.Enqueue(pkt, t)
+		ingest(e, in, &h, uint64(n+1), t)
 		n++
 		end = t
 	}
@@ -461,17 +451,26 @@ func serveUDP(conn net.PacketConn, e *dataplane.Engine, start time.Time) error {
 		if _, err := wire.Decode(buf[:n], &h); err != nil {
 			continue // malformed datagrams are not the daemon's problem
 		}
-		res := in.ResolveFull(&h)
-		if !res.Bound {
-			res.Handle = e.InternPath(res.ID)
-			in.BindHandle(&h, res.Handle)
-		}
-		pkt := &netsim.Packet{}
 		id++
-		h.ToPacket(pkt, id, res.ID, res.Key, res.Handle)
 		//floclint:allow sim-time live dataplane stamps arrivals from the wall clock
-		e.Enqueue(pkt, time.Since(start).Seconds())
+		ingest(e, in, &h, id, time.Since(start).Seconds())
 	}
+}
+
+// ingest is the per-header step of replay and the UDP listener. A path's
+// first packet mints its handle on the owning shard router and binds it
+// in the producer's interner, so every later packet carries the dense
+// handle and admission never hashes the path key.
+// floc:unit at seconds
+func ingest(e *dataplane.Engine, in *wire.Interner, h *wire.Header, id uint64, at float64) {
+	res := in.ResolveFull(h)
+	if !res.Bound {
+		res.Handle = e.InternPath(res.ID)
+		in.BindHandle(h, res.Handle)
+	}
+	pkt := &netsim.Packet{}
+	h.ToPacket(pkt, id, res.ID, res.Key, res.Handle)
+	e.Enqueue(pkt, at)
 }
 
 // udpTransport carries cluster control frames: it dials each peer once,

@@ -2,6 +2,7 @@ package core
 
 import (
 	"sort"
+	"sync"
 	"sync/atomic"
 )
 
@@ -9,11 +10,11 @@ import (
 // for origin paths, so the per-packet lookup is an array index instead of
 // a string-keyed map probe. A handle packs a per-router tag into the high
 // bits and a 1-based dense index into the low handleIndexBits; zero means
-// "no handle". Handles are issued once per path (Router.InternPath or the
-// first packet's originMiss) and never recycled: an expired path keeps
-// its key→handle binding so a producer-cached handle can never silently
-// alias a different path, it just re-creates state at the same index when
-// traffic returns.
+// "no handle". Handles are minted once per path (Router.InternPath, from
+// any goroutine, or the first packet's originMiss) and never recycled:
+// an expired path keeps its key→handle binding so a producer-cached
+// handle can never silently alias a different path, it just re-creates
+// state at the same index when traffic returns.
 const (
 	handleIndexBits = 20
 	handleIndexMask = 1<<handleIndexBits - 1
@@ -30,12 +31,20 @@ var routerTagCounter atomic.Uint32
 // pathTable is the router's origin-path index: a dense handle-indexed
 // state array for the hot path plus a key→handle map and overflow map for
 // the cold path (first packet, control plane, snapshots).
+//
+// The key→handle map is the one place handles are minted, and producers
+// mint into it concurrently with the router's own goroutine, so it sits
+// behind mu. Everything else belongs to the router's goroutine: states
+// grows lazily, when a minted path's first packet creates its state.
 type pathTable struct {
 	tag      uint32                // pre-shifted router tag, ORed into every handle
-	byKey    map[string]uint32     // key → handle; bindings are never removed
 	states   []*pathState          // 0-based by handle index; nil = expired or not yet created
 	overflow map[string]*pathState // beyond maxPathHandles: plain map semantics
 	live     int
+
+	mu     sync.Mutex        // guards byKey and minted; cold path only
+	byKey  map[string]uint32 // key → handle; bindings are never removed
+	minted int               // handles issued so far
 }
 
 func newPathTable() *pathTable {
@@ -60,18 +69,21 @@ func (t *pathTable) byHandle(h uint32) *pathState {
 	return t.states[i]
 }
 
-// intern binds key to a handle (issuing one on first sight) without
-// creating any path state. Returns 0 when the dense space is exhausted.
+// intern binds key to a handle (minting one on first sight) without
+// creating any path state. Safe from any goroutine. Returns 0 when the
+// dense space is exhausted.
 // floc:coldpath handle binding happens once per path, not per packet
 func (t *pathTable) intern(key string) uint32 {
+	t.mu.Lock()
+	defer t.mu.Unlock()
 	if h, ok := t.byKey[key]; ok {
 		return h
 	}
-	if len(t.states) >= maxPathHandles {
+	if t.minted >= maxPathHandles {
 		return 0
 	}
-	t.states = append(t.states, nil)
-	h := t.tag | uint32(len(t.states))
+	t.minted++
+	h := t.tag | uint32(t.minted)
 	t.byKey[key] = h
 	return h
 }
@@ -79,18 +91,26 @@ func (t *pathTable) intern(key string) uint32 {
 // lookup returns the live state for key, or nil.
 // floc:coldpath first-packet and control-plane lookups only
 func (t *pathTable) lookup(key string) *pathState {
-	if h, ok := t.byKey[key]; ok {
-		return t.states[int(h&handleIndexMask)-1]
+	t.mu.Lock()
+	h, ok := t.byKey[key]
+	t.mu.Unlock()
+	if ok {
+		return t.byHandle(h)
 	}
 	return t.overflow[key]
 }
 
-// put stores a freshly created state under key, assigning its handle.
+// put stores a freshly created state under key, assigning its handle and
+// growing states to reach it.
 // floc:coldpath path-state creation is a first-packet event
 func (t *pathTable) put(key string, ps *pathState) {
 	if h := t.intern(key); h != 0 {
 		ps.handle = h
-		t.states[int(h&handleIndexMask)-1] = ps
+		i := int(h&handleIndexMask) - 1
+		for len(t.states) <= i {
+			t.states = append(t.states, nil)
+		}
+		t.states[i] = ps
 	} else {
 		if t.overflow == nil {
 			t.overflow = map[string]*pathState{}

@@ -198,7 +198,7 @@ func (p *pathState) flowCount() int {
 
 // Router is the FLoc router subsystem, attached to the flooded link as its
 // queue discipline. Like the simulator it plugs into, it is
-// single-threaded: not safe for concurrent use.
+// single-threaded: not safe for concurrent use, except InternPath.
 type Router struct {
 	cfg Config
 	rng *rng.Source
@@ -350,7 +350,9 @@ func (r *Router) openSlot(pkt *netsim.Packet, fid netsim.FlowID, h uint64) (uint
 // it (0 when the dense handle space is exhausted; such paths simply keep
 // using string keys). Producers stamp the handle into Packet.PathHandle
 // so steady-state admission needs no hashing at all. No path state is
-// created: that stays lazy, on the first packet.
+// created: that stays lazy, on the first packet. Unlike every other
+// Router method, InternPath is safe to call from any goroutine while the
+// router admits: minting takes only the path table's cold-path lock.
 // floc:coldpath interning happens once per path per producer
 func (r *Router) InternPath(path pathid.PathID) uint32 {
 	return r.origins.intern(path.Key())

@@ -19,8 +19,8 @@
 // Backpressure is explicit: when a shard's ring is full the engine either
 // drops the packet and counts it (telemetry counter
 // floc_dataplane_ring_full_drops_total plus Stats), or, in BlockOnFull
-// mode, yields until the worker catches up. Nothing is ever dropped
-// silently.
+// mode, parks the producer until the worker frees a slot. Nothing is ever
+// dropped silently.
 package dataplane
 
 import (
@@ -72,9 +72,11 @@ type Config struct {
 	// Batch bounds how many packets a worker admits per ring drain; zero
 	// defaults to 64.
 	Batch int //floc:unit packets
-	// BlockOnFull makes Enqueue yield until ring space frees instead of
-	// dropping. Use for offline replay, where input has no real arrival
-	// clock and losing packets to producer speed would be nonsense.
+	// BlockOnFull makes Enqueue on a full ring wait instead of dropping:
+	// the producer yields briefly, then parks until the worker frees ring
+	// space or the engine closes. Use for offline replay, where input has
+	// no real arrival clock and losing packets to producer speed would be
+	// nonsense.
 	BlockOnFull bool
 	// Telemetry, when non-nil, receives the shard routers' metrics and
 	// the engine's backpressure counters. Counters aggregate correctly
@@ -171,26 +173,31 @@ func (s *shardSink) Emit(e telemetry.Event) {
 	s.dst.Emit(e)
 }
 
-// Engine is the sharded dataplane. Enqueue is safe for concurrent use by
-// any number of producers; Drain, Advance, Snapshot and Close serialize
+// Engine is the sharded dataplane. Enqueue and InternPath are safe for
+// concurrent use by any number of producers; the control-plane methods
+// (Drain, Advance, Snapshot, InstallLimit, SweepLimits, Close) serialize
 // through an internal mutex and must not race with further Enqueues'
 // expectations (see each method).
 type Engine struct {
 	cfg    Config
 	shards []*shard
 
-	ctl    sync.Mutex // serializes control-plane ops (Drain/Advance/Snapshot/Close)
+	ctl    sync.Mutex    // serializes barriers with each other and with Close
+	acks   chan struct{} // barrier acks, one per shard; reused under ctl
 	closed atomic.Bool
 	wg     sync.WaitGroup
 }
 
 // shard is one worker: ring in, private router, virtual transmitter out.
 type shard struct {
+	id     int // index in Engine.shards
 	ring   *ring
 	router *core.Router
 
 	wake     chan struct{} // 1-buffered doorbell
 	sleeping atomic.Bool
+	room     chan struct{} // 1-buffered: a dequeue freed ring space
+	waiters  atomic.Int32  // BlockOnFull producers parked on room
 	cmds     chan command
 	stop     chan struct{}
 
@@ -221,34 +228,11 @@ type shard struct {
 	bankDrops int                  // bank.Drops() last published to counters
 }
 
-// cmdKind discriminates shard control commands; every kind a controller
-// can send must be handled, or the sender blocks forever on done.
-//
-//floc:enum
-type cmdKind uint8
-
-const (
-	cmdSync cmdKind = iota + 1
-	cmdAdvance
-	cmdSnapshot
-	cmdIntern
-	cmdLimit
-	cmdSweep
-)
-
+// command is code a worker runs on its own shard at a quiescent point
+// (see handle); the worker signals done once fn returns.
 type command struct {
-	kind   cmdKind
-	now    float64 //floc:unit seconds
-	path   pathid.PathID
-	snap   chan core.Snapshot
-	handle chan uint32
-	done   chan struct{}
-
-	// cmdLimit payload.
-	rate    units.BitsPerSec
-	expires float64 //floc:unit seconds (0 = no expiry)
-	peer    uint32  // advertising router ID, for the trace event
-	ok      chan bool
+	fn   func(sh *shard)
+	done chan struct{}
 }
 
 // New builds an engine and starts its workers.
@@ -261,7 +245,7 @@ func New(cfg Config) (*Engine, error) {
 		invariant.Positive("dataplane.shards", float64(cfg.Shards))
 		invariant.Positive("dataplane.ring-size", float64(cfg.RingSize))
 	}
-	e := &Engine{cfg: cfg, shards: make([]*shard, cfg.Shards)}
+	e := &Engine{cfg: cfg, shards: make([]*shard, cfg.Shards), acks: make(chan struct{}, cfg.Shards)}
 	n := cfg.Shards
 	baseCap, remCap := cfg.Router.Capacity/n, cfg.Router.Capacity%n
 	for i := 0; i < n; i++ {
@@ -279,9 +263,11 @@ func New(cfg Config) (*Engine, error) {
 			return nil, fmt.Errorf("dataplane: shard %d: %w", i, err)
 		}
 		sh := &shard{
+			id:     i,
 			ring:   newRing(cfg.RingSize),
 			router: router,
 			wake:   make(chan struct{}, 1),
+			room:   make(chan struct{}, 1),
 			cmds:   make(chan command),
 			stop:   make(chan struct{}),
 			buf:    make([]item, cfg.Batch),
@@ -367,8 +353,8 @@ func pathShard(path pathid.PathID, n int) int {
 // Enqueue hands a packet to its shard. It returns true when the packet
 // entered the ring; false means the ring was full and the packet was
 // dropped (counted in Stats and telemetry) or the engine is closed. With
-// BlockOnFull the full case yields and retries instead. The packet must
-// not be mutated after a successful Enqueue.
+// BlockOnFull the full case parks until the worker frees a slot instead.
+// The packet must not be mutated after a successful Enqueue.
 // floc:unit now seconds
 // floc:hotpath
 func (e *Engine) Enqueue(pkt *netsim.Packet, now float64) bool {
@@ -377,22 +363,52 @@ func (e *Engine) Enqueue(pkt *netsim.Packet, now float64) bool {
 	}
 	sh := e.shards[pathShard(pkt.Path, len(e.shards))]
 	it := item{pkt: pkt, at: now}
-	for !sh.ring.tryEnqueue(it) {
-		if !e.cfg.BlockOnFull {
-			sh.ringDrops.Add(1)
-			if sh.dropCtr != nil {
-				sh.dropCtr.Inc()
-			}
-			return false
+	if !sh.ring.tryEnqueue(it) && !e.full(sh, it) {
+		return false
+	}
+	sh.accepted.Add(1)
+	sh.ringWake()
+	return true
+}
+
+// spinYields bounds the yield-and-retry spin before a BlockOnFull
+// producer parks: a worker frees a batch of slots sooner than a parked
+// goroutine wakes, and parking at once cost BenchmarkDataplaneEnqueueSharded
+// about a tenth of its throughput.
+const spinYields = 64
+
+// full is Enqueue on a full ring: it counts a drop, or with BlockOnFull
+// spins, then parks until a dequeue frees space, giving up once the
+// engine closes. Reports whether it enqueued. The ordering argument
+// mirrors ringWake's: a producer raises waiters before its retry, the
+// worker frees a slot before loading waiters, so either the retry sees
+// the slot or the worker sees the waiter and signals room by the time
+// its last dequeue empties the ring.
+// floc:coldpath backpressure runs only when a ring is full
+func (e *Engine) full(sh *shard, it item) bool {
+	if !e.cfg.BlockOnFull {
+		sh.ringDrops.Add(1)
+		if sh.dropCtr != nil {
+			sh.dropCtr.Inc()
 		}
+		return false
+	}
+	sh.waiters.Add(1)
+	defer sh.waiters.Add(-1)
+	for spins := 0; !sh.ring.tryEnqueue(it); spins++ {
 		sh.ringWake()
-		runtime.Gosched()
+		if spins < spinYields {
+			runtime.Gosched()
+		} else {
+			select {
+			case <-sh.room:
+			case <-sh.stop:
+			}
+		}
 		if e.closed.Load() {
 			return false
 		}
 	}
-	sh.accepted.Add(1)
-	sh.ringWake()
 	return true
 }
 
@@ -416,7 +432,7 @@ func (sh *shard) ringWake() {
 // control commands at quiescent points, park when idle.
 func (sh *shard) run() {
 	for {
-		if n := sh.ring.dequeueBatch(sh.buf); n > 0 {
+		if n := sh.dequeue(); n > 0 {
 			sh.process(sh.buf[:n])
 			select {
 			case c := <-sh.cmds:
@@ -424,12 +440,6 @@ func (sh *shard) run() {
 			default:
 			}
 			continue
-		}
-		select {
-		case c := <-sh.cmds:
-			sh.handle(c)
-			continue
-		default:
 		}
 		sh.sleeping.Store(true)
 		if !sh.ring.empty() {
@@ -448,6 +458,22 @@ func (sh *shard) run() {
 			return
 		}
 	}
+}
+
+// dequeue moves the next batch off the ring into buf and signals a parked
+// BlockOnFull producer once the ring is at most half full: waking it at
+// every batch would cost a producer that outruns the worker a park/unpark
+// round trip per batch.
+// floc:hotpath
+func (sh *shard) dequeue() int {
+	n := sh.ring.dequeueBatch(sh.buf)
+	if n > 0 && sh.waiters.Load() > 0 && sh.ring.occupancy() <= len(sh.ring.slots)/2 {
+		select {
+		case sh.room <- struct{}{}:
+		default:
+		}
+	}
+	return n
 }
 
 // process admits one batch. The router's virtual transmitter is serviced
@@ -517,7 +543,7 @@ func (sh *shard) serve(now float64) {
 // shutdown so barriers see every packet enqueued before them).
 func (sh *shard) drainAll() {
 	for {
-		n := sh.ring.dequeueBatch(sh.buf)
+		n := sh.dequeue()
 		if n == 0 {
 			return
 		}
@@ -525,63 +551,59 @@ func (sh *shard) drainAll() {
 	}
 }
 
-// handle executes a control command at a quiescent point. Every command
-// is a barrier: the ring is fully drained first.
+// handle runs a command at a quiescent point: the ring is fully drained
+// first, so the command sees every packet enqueued happens-before it.
 func (sh *shard) handle(c command) {
 	sh.drainAll()
-	switch c.kind {
-	case cmdSync:
-		close(c.done)
-	case cmdAdvance:
-		sh.serve(c.now)
-		close(c.done)
-	case cmdSnapshot:
-		c.snap <- sh.router.Snapshot()
-	case cmdIntern:
-		c.handle <- sh.router.InternPath(c.path)
-	case cmdLimit:
-		c.ok <- sh.installLimit(c)
-	case cmdSweep:
-		if sh.bank != nil {
-			sh.bank.Sweep(c.now)
-			sh.publishLimitCount()
-		}
-		close(c.done)
-	}
+	c.fn(sh)
+	c.done <- struct{}{}
 }
 
-// installLimit executes a cmdLimit barrier in worker context: intern the
-// path on this shard's router (so the handle matches the one producers
-// stamp into packets), install or release the limit, and emit the
-// FeedbackApplied trace event from the worker — the shard trace is
-// single-writer, so the event must not be added from the caller's
-// goroutine.
-func (sh *shard) installLimit(c command) bool {
-	handle := sh.router.InternPath(c.path)
-	if handle == 0 && len(c.path) > 0 {
-		return false // handle space exhausted
+// barrier runs fn on each listed shard's worker at a quiescent point (see
+// handle) and waits for all of them: the one way into worker-owned state
+// from outside. It runs nothing and reports false once the engine closed.
+func (e *Engine) barrier(shards []*shard, fn func(sh *shard)) bool {
+	e.ctl.Lock()
+	defer e.ctl.Unlock()
+	if e.closed.Load() {
+		return false
 	}
+	for _, sh := range shards {
+		sh.cmds <- command{fn: fn, done: e.acks}
+	}
+	for range shards {
+		<-e.acks
+	}
+	return true
+}
+
+// installLimit installs or releases handle's limit in worker context and
+// emits the FeedbackApplied trace event from the worker — the shard trace
+// is single-writer, so the event must not be added from the caller's
+// goroutine.
+// floc:unit expiresAt seconds
+// floc:unit now seconds
+func (sh *shard) installLimit(handle uint32, path pathid.PathID, rate units.BitsPerSec, expiresAt float64, peer uint32, now float64) {
 	if sh.bank == nil {
-		if c.rate <= 0 {
-			return true // releasing a limit that was never installed
+		if rate <= 0 {
+			return // releasing a limit that was never installed
 		}
 		sh.bank = defense.NewLimiterBank()
 	}
-	sh.bank.Install(handle, c.rate, c.expires)
+	sh.bank.Install(handle, rate, expiresAt)
 	sh.bankDrops = sh.bank.Drops()
 	sh.publishLimitCount()
 	if telemetry.Compiled {
 		if tel := sh.router.Telemetry(); tel != nil {
 			tel.Emit(telemetry.Event{
-				Time:  c.now,
+				Time:  now,
 				Type:  telemetry.EventFeedbackApplied,
-				Path:  c.path.Key(),
-				Value: float64(c.rate),
-				Peer:  c.peer,
+				Path:  path.Key(),
+				Value: float64(rate),
+				Peer:  peer,
 			})
 		}
 	}
-	return true
 }
 
 // publishLimitCount refreshes the shard's installed-limit surface.
@@ -594,21 +616,14 @@ func (sh *shard) publishLimitCount() {
 }
 
 // InternPath binds path to a dense handle on the shard router that owns
-// it and returns the handle (0 when the engine is closed or the router's
-// handle space is exhausted). Producers stamp it into Packet.PathHandle;
-// since Enqueue routes a path's packets to that same shard, the handle is
-// always presented to the router that minted it. Cold: call once per
-// path, not per packet.
+// it and returns the handle (0 only when that router's handle space is
+// exhausted). Producers stamp it into Packet.PathHandle; since Enqueue
+// routes a path's packets to that same shard, the handle is always
+// presented to the router that minted it. Minting runs on the caller's
+// goroutine under a cold-path lock: no barrier, no wait on the worker.
+// Cold: call once per path, not per packet.
 func (e *Engine) InternPath(path pathid.PathID) uint32 {
-	e.ctl.Lock()
-	defer e.ctl.Unlock()
-	if e.closed.Load() {
-		return 0
-	}
-	sh := e.shards[pathShard(path, len(e.shards))]
-	reply := make(chan uint32, 1)
-	sh.cmds <- command{kind: cmdIntern, path: path, handle: reply}
-	return <-reply
+	return e.shards[pathShard(path, len(e.shards))].router.InternPath(path)
 }
 
 // InstallLimit installs (rate > 0) or releases (rate <= 0) a per-path
@@ -617,7 +632,8 @@ func (e *Engine) InternPath(path pathid.PathID) uint32 {
 // expiresAt is the arrival-clock deadline after which the limit lapses
 // unless refreshed (0 = never); peer tags the FeedbackApplied trace
 // event with the advertising router's ID; now stamps that event. The
-// command is a barrier on the owning shard: packets enqueued
+// handle is minted on the caller's goroutine, as InternPath does; the
+// install is a barrier on the owning shard: packets enqueued
 // happens-before the call are admitted under the old limit. Returns
 // false when the engine is closed, the path is empty, or the shard
 // router's handle space is exhausted. Cold: called per feedback record,
@@ -628,15 +644,14 @@ func (e *Engine) InstallLimit(path pathid.PathID, rate units.BitsPerSec, expires
 	if len(path) == 0 {
 		return false
 	}
-	e.ctl.Lock()
-	defer e.ctl.Unlock()
-	if e.closed.Load() {
-		return false
+	i := pathShard(path, len(e.shards))
+	handle := e.shards[i].router.InternPath(path)
+	if handle == 0 {
+		return false // handle space exhausted
 	}
-	sh := e.shards[pathShard(path, len(e.shards))]
-	reply := make(chan bool, 1)
-	sh.cmds <- command{kind: cmdLimit, path: path, rate: rate, expires: expiresAt, peer: peer, now: now, ok: reply}
-	return <-reply
+	return e.barrier(e.shards[i:i+1], func(sh *shard) {
+		sh.installLimit(handle, path, rate, expiresAt, peer, now)
+	})
 }
 
 // SweepLimits reaps expired cluster limits on every shard so the
@@ -644,19 +659,12 @@ func (e *Engine) InstallLimit(path pathid.PathID, rate units.BitsPerSec, expires
 // periodically from the daemon's tick loop.
 // floc:unit now seconds
 func (e *Engine) SweepLimits(now float64) {
-	e.ctl.Lock()
-	defer e.ctl.Unlock()
-	if e.closed.Load() {
-		return
-	}
-	dones := make([]chan struct{}, len(e.shards))
-	for i, sh := range e.shards {
-		dones[i] = make(chan struct{})
-		sh.cmds <- command{kind: cmdSweep, now: now, done: dones[i]}
-	}
-	for _, d := range dones {
-		<-d
-	}
+	e.barrier(e.shards, func(sh *shard) {
+		if sh.bank != nil {
+			sh.bank.Sweep(now)
+			sh.publishLimitCount()
+		}
+	})
 }
 
 // InstalledLimits returns the engine-wide count of active cluster
@@ -674,19 +682,7 @@ func (e *Engine) InstalledLimits() int {
 // been processed by its shard. Concurrent Enqueues are allowed but not
 // waited for.
 func (e *Engine) Drain() {
-	e.ctl.Lock()
-	defer e.ctl.Unlock()
-	if e.closed.Load() {
-		return
-	}
-	dones := make([]chan struct{}, len(e.shards))
-	for i, sh := range e.shards {
-		dones[i] = make(chan struct{})
-		sh.cmds <- command{kind: cmdSync, done: dones[i]}
-	}
-	for _, d := range dones {
-		<-d
-	}
+	e.barrier(e.shards, func(*shard) {})
 }
 
 // Advance drains all rings and services every shard's output queue up to
@@ -694,19 +690,7 @@ func (e *Engine) Drain() {
 // will drive the transmitters.
 // floc:unit now seconds
 func (e *Engine) Advance(now float64) {
-	e.ctl.Lock()
-	defer e.ctl.Unlock()
-	if e.closed.Load() {
-		return
-	}
-	dones := make([]chan struct{}, len(e.shards))
-	for i, sh := range e.shards {
-		dones[i] = make(chan struct{})
-		sh.cmds <- command{kind: cmdAdvance, now: now, done: dones[i]}
-	}
-	for _, d := range dones {
-		<-d
-	}
+	e.barrier(e.shards, func(sh *shard) { sh.serve(now) })
 }
 
 // Snapshot drains all rings and returns the deterministic merge of the
@@ -714,23 +698,16 @@ func (e *Engine) Advance(now float64) {
 // entries concatenate sorted by key (paths are disjoint across shards by
 // construction), and the mode is the most severe of any shard's.
 func (e *Engine) Snapshot() core.Snapshot {
-	e.ctl.Lock()
-	defer e.ctl.Unlock()
 	parts := make([]core.Snapshot, len(e.shards))
-	if e.closed.Load() {
-		// Workers are gone; routers are safe to read directly.
-		for i, sh := range e.shards {
-			parts[i] = sh.router.Snapshot()
+	read := func(sh *shard) { parts[sh.id] = sh.router.Snapshot() }
+	if !e.barrier(e.shards, read) {
+		// Closed: the workers are gone, so the routers are safe to read
+		// here, one Snapshot at a time.
+		e.ctl.Lock()
+		defer e.ctl.Unlock()
+		for _, sh := range e.shards {
+			read(sh)
 		}
-		return mergeSnapshots(parts)
-	}
-	replies := make([]chan core.Snapshot, len(e.shards))
-	for i, sh := range e.shards {
-		replies[i] = make(chan core.Snapshot, 1)
-		sh.cmds <- command{kind: cmdSnapshot, snap: replies[i]}
-	}
-	for i := range replies {
-		parts[i] = <-replies[i]
 	}
 	return mergeSnapshots(parts)
 }

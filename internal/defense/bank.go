@@ -5,28 +5,14 @@ import (
 	"floc/internal/units"
 )
 
-// passThrough is the identity discipline behind each bank limiter: it
-// accepts every packet and holds nothing, so the wrapped Limiter acts as
-// a pure admission gate — the packet's real queueing happens in the
-// router the bank fronts.
-type passThrough struct{}
-
-var _ netsim.Discipline = passThrough{}
-
-// floc:unit now seconds
-func (passThrough) Enqueue(pkt *netsim.Packet, now float64) bool { return true }
-
-// floc:unit now seconds
-func (passThrough) Dequeue(now float64) *netsim.Packet { return nil }
-
-func (passThrough) Len() int { return 0 }
-
 // bankEntry pairs a limiter with its lease: a limit installed from a
 // cluster peer's feedback expires expiresAt seconds into the arrival
 // clock unless the peer refreshes it, so a dead downstream cannot wedge
-// an upstream forever.
+// an upstream forever. The limiter has no inner discipline: the bank
+// only calls Admit, and the packet's real queueing happens in the router
+// the bank fronts.
 type bankEntry struct {
-	lim       *Limiter
+	lim       Limiter
 	expiresAt float64 //floc:unit seconds (0 = no expiry)
 }
 
@@ -63,7 +49,7 @@ func (b *LimiterBank) Install(handle uint32, rate units.BitsPerSec, expiresAt fl
 	}
 	e := b.entries[handle]
 	if e == nil {
-		e = &bankEntry{lim: NewLimiter(passThrough{})}
+		e = &bankEntry{}
 		b.entries[handle] = e
 	}
 	e.lim.SetRateBits(rate)
@@ -88,7 +74,7 @@ func (b *LimiterBank) Admit(handle uint32, pkt *netsim.Packet, now float64) bool
 		delete(b.entries, handle)
 		return true
 	}
-	if !e.lim.Enqueue(pkt, now) {
+	if !e.lim.Admit(pkt, now) {
 		b.drops++
 		return false
 	}

@@ -70,10 +70,13 @@ func (l *Limiter) TakeOfferedBits() units.Bits {
 	return v
 }
 
-// Enqueue implements netsim.Discipline.
+// Admit is the limiter's token check on its own: it counts pkt as
+// offered and reports whether the rate limit lets it through, counting a
+// drop otherwise. It never touches the inner discipline, so a limiter
+// built with a nil inner is a pure admission gate.
 // floc:unit now seconds
 // floc:hotpath
-func (l *Limiter) Enqueue(pkt *netsim.Packet, now float64) bool {
+func (l *Limiter) Admit(pkt *netsim.Packet, now float64) bool {
 	bits := units.FromPacket(pkt.Size)
 	l.offeredBits += bits
 	if l.rateBits > 0 {
@@ -91,7 +94,14 @@ func (l *Limiter) Enqueue(pkt *netsim.Packet, now float64) bool {
 	} else {
 		l.lastRefill = now
 	}
-	return l.inner.Enqueue(pkt, now)
+	return true
+}
+
+// Enqueue implements netsim.Discipline: Admit, then the inner discipline.
+// floc:unit now seconds
+// floc:hotpath
+func (l *Limiter) Enqueue(pkt *netsim.Packet, now float64) bool {
+	return l.Admit(pkt, now) && l.inner.Enqueue(pkt, now)
 }
 
 // Dequeue implements netsim.Discipline.

@@ -15,6 +15,9 @@
 #                //floc:hotpath functions reachable without I/O (wire
 #                codec, dropfilter ops, router admission, dataplane ring)
 #   tests        go test ./...
+#   perfbench    perfbench's own tests: it is a separate module, so the
+#                tests stage's ./... never reaches it; run offline with the
+#                settings perfbench/run.sh builds under
 #   invariants   go test -tags flocinvariants ./... (hot-path assertions on)
 #   race         go test -race -short ./... (-short skips the multi-second
 #                single-threaded simulations, which race instrumentation
@@ -129,6 +132,11 @@ end
 
 begin tests
 run go test ./...
+end
+
+begin perfbench
+echo ">> (cd perfbench && go test ./...)" >&2
+(cd perfbench && GOFLAGS= GOWORK=off GOPROXY=off go test ./...)
 end
 
 begin invariants
