@@ -21,7 +21,6 @@
 package main
 
 import (
-	"bufio"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -392,7 +391,7 @@ func serveMux(reg *telemetry.Registry, h *health, withPprof bool) *http.ServeMux
 // floc_capture_malformed_lines_total.
 // floc:unit end seconds
 func replayCapture(r io.Reader, e *dataplane.Engine, reg *telemetry.Registry) (n int, malformed int64, end float64, err error) {
-	cr := wire.NewCaptureReader(bufio.NewReader(r))
+	cr := wire.NewCaptureReader(r)
 	cr.SkipMalformed(true)
 	in := wire.NewInterner()
 	var h wire.Header
@@ -600,7 +599,7 @@ func sendCapture(r io.Reader, addr string, pace float64) error {
 		return err
 	}
 	defer conn.Close()
-	cr := wire.NewCaptureReader(bufio.NewReader(r))
+	cr := wire.NewCaptureReader(r)
 	cr.SkipMalformed(true)
 	var h wire.Header
 	buf := make([]byte, 0, wire.MaxEncodedLen)

@@ -1,6 +1,8 @@
 package wire
 
 import (
+	"bytes"
+	"io"
 	"testing"
 
 	"floc/internal/netsim"
@@ -70,6 +72,64 @@ func TestZeroAllocFromPacket(t *testing.T) {
 		}
 	}); avg != 0 {
 		t.Fatalf("FromPacket allocates %.1f times per op, want 0", avg)
+	}
+}
+
+// repeatReader serves data over and over, so a CaptureReader on it
+// never reaches the end of its input.
+type repeatReader struct {
+	data []byte
+	off  int
+}
+
+func (r *repeatReader) Read(p []byte) (int, error) {
+	n := copy(p, r.data[r.off:])
+	r.off = (r.off + n) % len(r.data)
+	return n, nil
+}
+
+// canonicalCapture returns a reader cycling through CaptureWriter lines
+// for the sample header at capture-like times.
+func canonicalCapture(tb testing.TB) io.Reader {
+	tb.Helper()
+	h := sampleHeader()
+	var buf bytes.Buffer
+	cw := NewCaptureWriter(&buf)
+	for i := 0; i < 1024; i++ {
+		if err := cw.Write(float64(i)*0.000723+0.5, &h); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	if err := cw.Flush(); err != nil {
+		tb.Fatal(err)
+	}
+	return &repeatReader{data: buf.Bytes()}
+}
+
+func TestZeroAllocCaptureNext(t *testing.T) {
+	cr := NewCaptureReader(canonicalCapture(t))
+	var h Header
+	if avg := testing.AllocsPerRun(2000, func() {
+		if _, err := cr.Next(&h); err != nil {
+			t.Fatal(err)
+		}
+	}); avg != 0 {
+		t.Fatalf("CaptureReader.Next on canonical lines allocates %.2f times per op, want 0", avg)
+	}
+}
+
+// BenchmarkCaptureNext is the ingest_parse family of the perf baseline
+// (scripts/bench-snapshot.sh): ns/op to read one canonical capture line,
+// the per-packet parse cost of flocd -replay.
+func BenchmarkCaptureNext(b *testing.B) {
+	cr := NewCaptureReader(canonicalCapture(b))
+	var h Header
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := cr.Next(&h); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 

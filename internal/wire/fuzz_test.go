@@ -1,7 +1,13 @@
 package wire
 
 import (
+	"bufio"
 	"bytes"
+	"encoding/hex"
+	"encoding/json"
+	"errors"
+	"io"
+	"math"
 	"testing"
 
 	"floc/internal/capability"
@@ -103,5 +109,107 @@ func FuzzWireRoundTrip(f *testing.F) {
 		if got != h {
 			t.Fatalf("round trip mismatch:\n got %+v\nwant %+v", got, h)
 		}
+	})
+}
+
+// referenceCaptureLine decodes one capture line with encoding/json:
+// json.Unmarshal, then the bounded hex decode, then Decode, with none
+// of CaptureReader's line parsing. CaptureReader must agree with it on
+// every line.
+func referenceCaptureLine(raw []byte, h *Header) (float64, ErrorKind, error) {
+	var rec CaptureRecord
+	if err := json.Unmarshal(raw, &rec); err != nil {
+		return 0, ErrKindFraming, err
+	}
+	if len(rec.Wire) > 2*MaxEncodedLen {
+		return 0, ErrKindFraming, errors.New("frame longer than any header")
+	}
+	buf := make([]byte, MaxEncodedLen)
+	n, err := hex.Decode(buf, []byte(rec.Wire))
+	if err != nil {
+		return 0, ErrKindFraming, err
+	}
+	used, err := Decode(buf[:n], h)
+	if err != nil {
+		return 0, KindOfError(err), err
+	}
+	if used != n {
+		return 0, ErrKindFraming, errors.New("trailing bytes after header")
+	}
+	return rec.T, ErrKindNone, nil
+}
+
+// checkCaptureAgainstReference reads capture through a strict and a
+// lenient CaptureReader and checks both line by line against
+// bufio.Scanner's line split and referenceCaptureLine: the same times
+// (bit for bit), headers, error presence, error kinds and line numbers.
+func checkCaptureAgainstReference(t *testing.T, capture []byte) {
+	t.Helper()
+	strict := NewCaptureReader(bytes.NewReader(capture))
+	lenient := NewCaptureReader(bytes.NewReader(capture))
+	lenient.SkipMalformed(true)
+	var wantKinds [NumErrorKinds]int64
+	sc := bufio.NewScanner(bytes.NewReader(capture))
+	sc.Buffer(nil, maxCaptureLine)
+	line := 0
+	for sc.Scan() {
+		line++
+		if len(sc.Bytes()) == 0 {
+			continue
+		}
+		var want, got Header
+		wantT, kind, wantErr := referenceCaptureLine(sc.Bytes(), &want)
+		gotT, gotErr := strict.Next(&got)
+		if (gotErr != nil) != (wantErr != nil) || gotErr == io.EOF {
+			t.Fatalf("line %d %q: strict err = %v, reference err = %v", line, sc.Bytes(), gotErr, wantErr)
+		}
+		if strict.Line() != line {
+			t.Fatalf("line %d %q: strict reader at line %d", line, sc.Bytes(), strict.Line())
+		}
+		if wantErr != nil {
+			wantKinds[kind]++
+			continue
+		}
+		if math.Float64bits(gotT) != math.Float64bits(wantT) || got != want {
+			t.Fatalf("line %d %q: strict read t=%v %+v, reference t=%v %+v", line, sc.Bytes(), gotT, got, wantT, want)
+		}
+		gotT, gotErr = lenient.Next(&got)
+		if gotErr != nil || math.Float64bits(gotT) != math.Float64bits(wantT) || got != want {
+			t.Fatalf("line %d %q: lenient read t=%v %+v err=%v, reference t=%v %+v", line, sc.Bytes(), gotT, got, gotErr, wantT, want)
+		}
+		if lenient.MalformedByKind() != wantKinds {
+			t.Fatalf("line %d: lenient malformed counts %v, reference %v", line, lenient.MalformedByKind(), wantKinds)
+		}
+	}
+	if sc.Err() != nil {
+		t.Skipf("line over the scanner cap: %v", sc.Err())
+	}
+	if _, err := strict.Next(new(Header)); err != io.EOF {
+		t.Fatalf("strict reader after the last line: err = %v, want EOF", err)
+	}
+	if _, err := lenient.Next(new(Header)); err != io.EOF {
+		t.Fatalf("lenient reader after the last line: err = %v, want EOF", err)
+	}
+	if lenient.MalformedByKind() != wantKinds {
+		t.Fatalf("lenient malformed counts %v, reference %v", lenient.MalformedByKind(), wantKinds)
+	}
+	if strict.Line() != line || lenient.Line() != line {
+		t.Fatalf("readers end at lines %d and %d, scanner at %d", strict.Line(), lenient.Line(), line)
+	}
+}
+
+// FuzzCaptureLine feeds arbitrary capture bytes to CaptureReader and
+// holds it to the encoding/json reference decoder, so the fixed-shape
+// fast path can never accept, reject or classify a line differently.
+func FuzzCaptureLine(f *testing.F) {
+	h := sampleHeader()
+	frame, err := MarshalAppend(nil, &h)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add([]byte(`{"t":0.5,"wire":"` + hex.EncodeToString(frame) + `"}`))
+	f.Add([]byte(`{"wire":"` + hex.EncodeToString(frame) + `","t":1e-7}` + "\n\n" + `{"t":1,"wire":"00"}`))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		checkCaptureAgainstReference(t, data)
 	})
 }

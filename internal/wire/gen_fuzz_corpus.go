@@ -12,14 +12,21 @@
 // ErrPathLen, ErrLength). FuzzControlFrameDecode gets the same
 // treatment for control frames: minimal and maximal valid frames plus
 // one seed per typed error (ErrHops, ErrCount, ErrTTL, ...).
+// FuzzCaptureLine starts from one capture line per boundary of the
+// fixed-shape fast path: the canonical line, shapes only encoding/json
+// reads (reordered keys, an extra field, whitespace, a "T" key, CRLF,
+// uppercase hex), and lines both must reject (bad numbers, an odd hex
+// digit, garbage after the object, a frame one byte too long).
 package main
 
 import (
+	"encoding/hex"
 	"fmt"
 	"log"
 	"os"
 	"path/filepath"
 	"strconv"
+	"strings"
 
 	"floc/internal/capability"
 	"floc/internal/netsim"
@@ -155,4 +162,23 @@ func main() {
 		return b
 	}())
 	bytesSeed(dir, "err-record-pathlen", cmutate(18, wire.MaxPathLen+1))
+
+	frame := hex.EncodeToString(marshal(withCap))
+	line := func(t, wire string) []byte { return []byte(`{"t":` + t + `,"wire":"` + wire + `"}`) }
+	dir = filepath.Join("internal", "wire", "testdata", "fuzz", "FuzzCaptureLine")
+	bytesSeed(dir, "canonical", line("0.5", frame))
+	bytesSeed(dir, "reordered-keys", []byte(`{"wire":"`+frame+`","t":0.5}`))
+	bytesSeed(dir, "extra-field", []byte(`{"t":0.5,"wire":"`+frame+`","x":1}`))
+	bytesSeed(dir, "whitespace", []byte(`{ "t": 0.5, "wire": "`+frame+`" }`))
+	bytesSeed(dir, "odd-hex-digit", line("0.5", "0"))
+	bytesSeed(dir, "upper-t-key", []byte(`{"T":0.5,"wire":"`+frame+`"}`))
+	bytesSeed(dir, "range-1e400", line("1e400", frame))
+	bytesSeed(dir, "negative-zero", line("-0", frame))
+	bytesSeed(dir, "leading-zero", line("01", frame))
+	bytesSeed(dir, "plus-sign", line("+1", frame))
+	bytesSeed(dir, "bare-fraction", line(".5", frame))
+	bytesSeed(dir, "garbage-after-object", append(line("0.5", frame), 'x'))
+	bytesSeed(dir, "crlf", append(line("0.5", frame), '\r', '\n'))
+	bytesSeed(dir, "frame-one-byte-too-long", line("0.5", strings.Repeat("00", wire.MaxEncodedLen+1)))
+	bytesSeed(dir, "uppercase-hex", line("0.5", strings.ToUpper(frame)))
 }

@@ -2,8 +2,11 @@ package wire
 
 import (
 	"bytes"
+	"encoding/hex"
+	"encoding/json"
 	"errors"
 	"io"
+	"math"
 	"strings"
 	"testing"
 
@@ -390,5 +393,192 @@ func TestCaptureReaderLenientCounts(t *testing.T) {
 	byKind := cr.MalformedByKind()
 	if byKind[ErrKindFraming] != 2 || byKind[ErrKindVersion] != 1 || byKind[ErrKindShort] != 1 {
 		t.Fatalf("per-kind counts %v", byKind)
+	}
+}
+
+// TestCaptureLineBoundaries runs the capture lines around the edge of
+// the reader's fixed-shape fast path (the FuzzCaptureLine seeds) through
+// a lenient reader: each must decode, or be counted under its kind,
+// exactly as the encoding/json reference decoder has it.
+func TestCaptureLineBoundaries(t *testing.T) {
+	h := sampleHeader()
+	frame, err := MarshalAppend(nil, &h)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fh := hex.EncodeToString(frame)
+	line := func(tm, wire string) string { return `{"t":` + tm + `,"wire":"` + wire + `"}` }
+	cases := []struct {
+		name, line string
+		wantT      float64
+		kind       ErrorKind // ErrKindNone: the line decodes to wantT and h
+	}{
+		{"canonical", line("0.5", fh), 0.5, ErrKindNone},
+		{"reordered-keys", `{"wire":"` + fh + `","t":0.5}`, 0.5, ErrKindNone},
+		{"extra-field", `{"t":0.5,"wire":"` + fh + `","x":1}`, 0.5, ErrKindNone},
+		{"whitespace", `{ "t": 0.5, "wire": "` + fh + `" }`, 0.5, ErrKindNone},
+		{"odd-hex-digit", line("0.5", "0"), 0, ErrKindFraming},
+		{"upper-t-key", `{"T":0.5,"wire":"` + fh + `"}`, 0.5, ErrKindNone},
+		{"range-1e400", line("1e400", fh), 0, ErrKindFraming},
+		{"negative-zero", line("-0", fh), math.Copysign(0, -1), ErrKindNone},
+		{"leading-zero", line("01", fh), 0, ErrKindFraming},
+		{"plus-sign", line("+1", fh), 0, ErrKindFraming},
+		{"bare-fraction", line(".5", fh), 0, ErrKindFraming},
+		{"garbage-after-object", line("0.5", fh) + "x", 0, ErrKindFraming},
+		{"crlf", line("0.5", fh) + "\r\n", 0.5, ErrKindNone},
+		{"frame-one-byte-too-long", line("0.5", strings.Repeat("00", MaxEncodedLen+1)), 0, ErrKindFraming},
+		{"uppercase-hex", line("0.5", strings.ToUpper(fh)), 0.5, ErrKindNone},
+		{"exponent", line("1.5E+2", fh), 150, ErrKindNone},
+		{"bad-version", line("1", "ff"+strings.Repeat("00", 13)), 0, ErrKindVersion},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			checkCaptureAgainstReference(t, []byte(tc.line))
+			cr := NewCaptureReader(strings.NewReader(tc.line))
+			cr.SkipMalformed(true)
+			var got Header
+			tm, err := cr.Next(&got)
+			if tc.kind == ErrKindNone {
+				if err != nil || math.Float64bits(tm) != math.Float64bits(tc.wantT) || got != h {
+					t.Fatalf("t=%v err=%v header %+v, want t=%v and the sample header", tm, err, got, tc.wantT)
+				}
+				return
+			}
+			if err != io.EOF || cr.MalformedByKind()[tc.kind] != 1 || cr.Malformed() != 1 {
+				t.Fatalf("err=%v counts %v, want the line skipped under %v", err, cr.MalformedByKind(), tc.kind)
+			}
+		})
+	}
+}
+
+// TestCaptureReaderLineSemantics pins the line split the reader shares
+// with bufio.ScanLines: blank lines are counted and skipped, "\r\n"
+// ends a line like "\n", and a last line without a newline still
+// counts.
+func TestCaptureReaderLineSemantics(t *testing.T) {
+	frame, err := MarshalAppend(nil, &Header{Version: Version1, Kind: netsim.KindUDP, Length: 9})
+	if err != nil {
+		t.Fatal(err)
+	}
+	good := `{"t":1,"wire":"` + hexString(frame) + `"}`
+	cr := NewCaptureReader(strings.NewReader("\n" + good + "\r\n\r\n\n" + good))
+	var h Header
+	for _, wantLine := range []int{2, 5} {
+		if _, err := cr.Next(&h); err != nil {
+			t.Fatal(err)
+		}
+		if cr.Line() != wantLine {
+			t.Fatalf("record at line %d, want %d", cr.Line(), wantLine)
+		}
+	}
+	if _, err := cr.Next(&h); err != io.EOF || cr.Line() != 5 {
+		t.Fatalf("tail: err=%v line %d, want EOF at line 5", err, cr.Line())
+	}
+}
+
+// TestCaptureReaderOverlongLine: a line past the 1 MiB cap is skipped and
+// counted as framing breakage in lenient mode, with the records on
+// either side still decoding, and is an error naming the line in strict
+// mode.
+func TestCaptureReaderOverlongLine(t *testing.T) {
+	frame, err := MarshalAppend(nil, &Header{Version: Version1, Kind: netsim.KindUDP, Length: 9})
+	if err != nil {
+		t.Fatal(err)
+	}
+	good := `{"t":1,"wire":"` + hexString(frame) + `"}`
+	long := `{"t":1,"wire":"` + hexString(frame) + `","pad":"` + strings.Repeat("x", 2<<20) + `"}`
+	input := good + "\n" + long + "\n" + good + "\n"
+
+	cr := NewCaptureReader(strings.NewReader(input))
+	cr.SkipMalformed(true)
+	var h Header
+	for i := 0; i < 2; i++ {
+		if _, err := cr.Next(&h); err != nil {
+			t.Fatalf("record %d: %v", i, err)
+		}
+	}
+	if cr.Line() != 3 {
+		t.Fatalf("second record at line %d, want 3", cr.Line())
+	}
+	if _, err := cr.Next(&h); err != io.EOF {
+		t.Fatalf("tail err = %v, want EOF", err)
+	}
+	if byKind := cr.MalformedByKind(); byKind[ErrKindFraming] != 1 || cr.Malformed() != 1 {
+		t.Fatalf("malformed counts %v, want one framing line", byKind)
+	}
+
+	cr = NewCaptureReader(strings.NewReader(input))
+	if _, err := cr.Next(&h); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := cr.Next(&h); err == nil || !strings.Contains(err.Error(), "capture line 2") {
+		t.Fatalf("strict overlong line: err = %v, want an error naming line 2", err)
+	}
+	if _, err := cr.Next(&h); err != nil || cr.Line() != 3 {
+		t.Fatalf("strict reader after the overlong line: err=%v line %d", err, cr.Line())
+	}
+}
+
+// TestCaptureWriterMatchesJSON: the writer's lines are byte for byte
+// json.Marshal of the record plus a newline, across encoding/json's
+// 'f'/'e' cutoffs and for random float bit patterns.
+func TestCaptureWriterMatchesJSON(t *testing.T) {
+	h := sampleHeader()
+	frame, err := MarshalAppend(nil, &h)
+	if err != nil {
+		t.Fatal(err)
+	}
+	times := []float64{
+		0, math.Copysign(0, -1), 5e-324, 2.2250738585072014e-308, 1e-7, 9.99e-7, 1e-6,
+		1e20, 1e21, 1.5e300, math.MaxFloat64, float64(1<<53 + 1), -1e-7, -1e21,
+		0.5, 1.25, 3.0000000000000004, 123.456789, 719.999999, 0.000723, 1e-320,
+	}
+	for x, i := uint64(0x9e3779b97f4a7c15), 0; i < 2000; i++ {
+		x ^= x << 13
+		x ^= x >> 7
+		x ^= x << 17
+		if f := math.Float64frombits(x); !math.IsNaN(f) && !math.IsInf(f, 0) {
+			times = append(times, f)
+		}
+	}
+	for _, tm := range times {
+		var buf bytes.Buffer
+		cw := NewCaptureWriter(&buf)
+		if err := cw.Write(tm, &h); err != nil {
+			t.Fatalf("t=%v: %v", tm, err)
+		}
+		if err := cw.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		want, err := json.Marshal(CaptureRecord{T: tm, Wire: hex.EncodeToString(frame)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := buf.String(); got != string(want)+"\n" {
+			t.Fatalf("t=%v:\n got %q\nwant %q", tm, got, string(want)+"\n")
+		}
+	}
+
+	// Non-finite times are rejected with json.Marshal's error and leave
+	// the capture untouched; -Inf already fails the time-order check.
+	var buf bytes.Buffer
+	cw := NewCaptureWriter(&buf)
+	if err := cw.Write(1, &h); err != nil {
+		t.Fatal(err)
+	}
+	for _, tm := range []float64{math.NaN(), math.Inf(1)} {
+		_, jerr := json.Marshal(CaptureRecord{T: tm})
+		if err := cw.Write(tm, &h); err == nil || jerr == nil || err.Error() != jerr.Error() {
+			t.Fatalf("t=%v: err %v, json.Marshal err %v", tm, err, jerr)
+		}
+	}
+	if err := cw.Write(math.Inf(-1), &h); err == nil {
+		t.Fatal("t=-Inf accepted")
+	}
+	if err := cw.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if cw.Records() != 1 || strings.Count(buf.String(), "\n") != 1 {
+		t.Fatalf("rejected times changed the capture: %d records, %q", cw.Records(), buf.String())
 	}
 }

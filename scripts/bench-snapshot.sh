@@ -13,6 +13,8 @@
 #   dropfilter_locality  BenchmarkFilterLocality          ns/op (blocked-layout
 #                        record+query over an 8 MiB working set)
 #   wire_decode          BenchmarkWireDecode              ns/op (codec)
+#   ingest_parse         BenchmarkCaptureNext             ns/op (one canonical
+#                        NDJSON capture line, the flocd -replay parse)
 #   feedback_encode      BenchmarkControlEncode           ns/op (cluster
 #                        control-frame marshal, the Publish hot loop)
 #   limit_install        BenchmarkLimitInstall            ns/op (one
@@ -51,6 +53,7 @@ sharded=$(bench ./internal/dataplane '^BenchmarkDataplaneEnqueueSharded$')
 filter=$(bench ./internal/dropfilter '^BenchmarkFilterUpdate$')
 locality=$(bench ./internal/dropfilter '^BenchmarkFilterLocality$')
 wire=$(bench ./internal/wire '^BenchmarkWireDecode$')
+parse=$(bench ./internal/wire '^BenchmarkCaptureNext$')
 feedback=$(bench ./internal/wire '^BenchmarkControlEncode$')
 install=$(bench ./internal/dataplane '^BenchmarkLimitInstall$')
 
@@ -103,6 +106,8 @@ best_by() {
         "$(best_ns "$locality")"
     printf '    "wire_decode": {"bench": "BenchmarkWireDecode", "ns_per_op": %s},\n' \
         "$(best_ns "$wire")"
+    printf '    "ingest_parse": {"bench": "BenchmarkCaptureNext", "ns_per_op": %s},\n' \
+        "$(best_ns "$parse")"
     printf '    "feedback_encode": {"bench": "BenchmarkControlEncode", "ns_per_op": %s},\n' \
         "$(best_ns "$feedback")"
     printf '    "limit_install": {"bench": "BenchmarkLimitInstall", "ns_per_op": %s}\n' \
